@@ -87,8 +87,6 @@ GATES = [
     ("wire", "BENCH_wire.json", "decode_hit_rate", "exact"),
     # floor 6.67 - 25% = 5.0x: the E12 codec acceptance criterion.
     ("wire", "BENCH_wire.json", "codec_speedup", "floor"),
-    # floor 2.67 - 25% = 2.0x: the E12 dispatch acceptance criterion.
-    ("wire", "BENCH_wire.json", "dispatch_speedup", "floor"),
     ("wire", "BENCH_wire.json", "socket_jobs_per_sec", "floor"),
 ]
 

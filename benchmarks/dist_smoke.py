@@ -1,32 +1,26 @@
 #!/usr/bin/env python
 """Distributed-campaign smoke test: two nodes, one SIGKILL, full parity.
 
-The CI-facing proof of the headline invariant from DESIGN §10: a
-coordinator plus two ``alive-mutate --node`` worker *processes* run a
-campaign over a shared queue directory; one node is SIGKILLed as soon
-as it holds a lease; the survivor reclaims and finishes; and the merged
-report's findings and ``deterministic()`` metrics must equal an
-uninterrupted single-host run.
+The CI-facing proof of the headline invariant from DESIGN §10: an
+in-process, journal-backed :class:`QueueBroker` serves the queue; a
+coordinator plus two ``alive-mutate --node`` worker *processes*
+(``--queue addr:HOST:PORT``) run a campaign; one node is SIGKILLed as
+soon as it holds a lease, so its leases expire on disconnect; the
+survivor reclaims and finishes; and the merged report's findings and
+``deterministic()`` metrics must equal an uninterrupted single-host run.
 
 Standalone script (not pytest-collected) so the ``dist-smoke`` CI job
 can run it directly:
 
     PYTHONPATH=src python benchmarks/dist_smoke.py
-    PYTHONPATH=src python benchmarks/dist_smoke.py --transport socket
-
-``--transport socket`` runs the same drill over the wire tier instead
-of the shared directory: an in-process :class:`QueueBroker` (journal-
-backed) serves the queue, the worker processes connect with
-``--queue addr:HOST:PORT``, and the SIGKILLed node's leases expire on
-disconnect rather than by timeout.
 
 Exit status 0 = parity held, 1 = divergence (with a diff dump), 2 =
 harness failure (nodes never started, queue never drained, ...).
 """
 
-import argparse
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -84,30 +78,8 @@ def spawn_node(name, queue_spec):
     )
 
 
-def wait_for_lease(queue_dir, node, timeout=60.0):
+def wait_for_lease(broker, node, timeout=60.0):
     """Block until ``node`` owns at least one lease; False on timeout."""
-    leases = os.path.join(queue_dir, "leases")
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            names = os.listdir(leases)
-        except OSError:
-            names = []
-        for name in names:
-            if name.startswith("."):
-                continue
-            try:
-                with open(os.path.join(leases, name)) as stream:
-                    if json.load(stream).get("node") == node:
-                        return True
-            except (OSError, json.JSONDecodeError):
-                continue
-        time.sleep(0.05)
-    return False
-
-
-def wait_for_broker_lease(broker, node, timeout=60.0):
-    """Socket-mode twin of :func:`wait_for_lease`."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         if any(lease.node == node for lease in broker.leases().values()):
@@ -117,12 +89,6 @@ def wait_for_broker_lease(broker, node, timeout=60.0):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--transport", choices=("dir", "socket"),
-                        default="dir",
-                        help="queue transport for the worker processes")
-    args = parser.parse_args()
-
     print("dist-smoke: single-host reference run ...", flush=True)
     reference = run_campaign(CampaignConfig(workers=1, **SMOKE))
     print(
@@ -132,27 +98,16 @@ def main():
     )
 
     work_dir = tempfile.mkdtemp(prefix="dist-smoke-")
-    queue_dir = os.path.join(work_dir, "queue")
-    broker = None
-    if args.transport == "socket":
-        broker = QueueBroker(journal_dir=os.path.join(work_dir, "broker"))
-        host, port = broker.start()
-        queue_spec = f"addr:{host}:{port}"
-        dist = DistConfig(
-            queue_addr=f"{host}:{port}",
-            lease_duration=3.0,
-            max_attempts=5,
-            wait_timeout=300.0,
-        )
-        print(f"dist-smoke: broker serving on {host}:{port}", flush=True)
-    else:
-        queue_spec = f"dir:{queue_dir}"
-        dist = DistConfig(
-            queue_dir=queue_dir,
-            lease_duration=3.0,
-            max_attempts=5,
-            wait_timeout=300.0,
-        )
+    broker = QueueBroker(journal_dir=os.path.join(work_dir, "broker"))
+    broker.start()
+    queue_spec = f"addr:{broker.address}"
+    dist = DistConfig(
+        queue_addr=broker.address,
+        lease_duration=3.0,
+        max_attempts=5,
+        wait_timeout=300.0,
+    )
+    print(f"dist-smoke: broker serving on {broker.address}", flush=True)
     config = CampaignConfig(workers=1, dist=dist, **SMOKE)
 
     box = {}
@@ -167,9 +122,7 @@ def main():
     survivor = spawn_node(SURVIVOR, queue_spec)
     killed = False
     try:
-        if (wait_for_broker_lease(broker, VICTIM, timeout=60.0)
-                if broker is not None
-                else wait_for_lease(queue_dir, VICTIM, timeout=60.0)):
+        if wait_for_lease(broker, VICTIM, timeout=60.0):
             victim.send_signal(signal.SIGKILL)
             killed = True
             print(
@@ -192,8 +145,8 @@ def main():
             if proc.poll() is None:
                 proc.kill()
             proc.wait(timeout=60)
-        if broker is not None:
-            broker.stop()
+        broker.stop()
+        shutil.rmtree(work_dir, ignore_errors=True)
 
     if not killed:
         # The victim drained too fast to be killed mid-lease (tiny CI
@@ -222,7 +175,7 @@ def main():
     print(
         f"dist-smoke: OK — {report.total_iterations} iterations, "
         f"{report.total_findings} findings, parity with single-host run "
-        f"({args.transport} transport, node kill injected: {killed})",
+        f"(node kill injected: {killed})",
         flush=True,
     )
     return 0

@@ -20,21 +20,18 @@ crash or Ctrl-C), ``--job-deadline`` bounds each shard's wall clock
 ``--max-job-retries`` retries-then-quarantines shards that hang or
 kill their worker.
 
-``--node --queue-dir DIR`` joins a *distributed* campaign as a worker
-node instead: jobs (seed payload included) come from the shared queue
-directory a coordinator published, are run under time-bounded leases
-with heartbeat renewal, and results are parked back in the queue — no
-input files, no fuzzing flags.  The coordinator side is the Python API
-(``CampaignConfig(dist=DistConfig(queue_dir=...))``); see README
+A *distributed* campaign runs around one queue broker
+(:mod:`repro.fuzz.net`).  ``--serve-queue HOST:PORT`` runs the broker:
+it owns queue state in memory, journal-backed with ``--broker-journal
+DIR`` so a killed broker recovers.  The coordinator side is the Python
+API (``CampaignConfig(dist=DistConfig(queue_addr="HOST:PORT"))``).
+``--node --queue addr:HOST:PORT`` joins as a worker node: jobs (seed
+payload included) come from the broker, run under time-bounded leases
+with heartbeat renewal, and results are parked back at the broker — no
+input files, no fuzzing flags.  Module payloads travel as compact
+binary bitcode referenced by content hash, so a seed crosses the wire
+once per node no matter how many jobs reuse it.  See README
 "Distributed campaigns".
-
-For fleets without a shared filesystem, ``--serve-queue HOST:PORT``
-runs the same queue over a socket (:mod:`repro.fuzz.net`): the broker
-owns queue state in memory (journal-backed with ``--broker-journal``),
-coordinators publish with ``DistConfig(queue_addr="HOST:PORT")``, and
-nodes join with ``--node --queue addr:HOST:PORT``.  Module payloads
-travel as compact binary bitcode referenced by content hash, so a seed
-crosses the wire once per node no matter how many jobs reuse it.
 """
 
 from __future__ import annotations
@@ -133,23 +130,18 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default 64)")
     dist = parser.add_argument_group(
         "distributed campaigns",
-        "join a coordinator's work queue as a node, or serve one over "
-        "a socket (see README \"Distributed campaigns\")")
+        "serve a campaign's queue broker, or join one as a worker node "
+        "(see README \"Distributed campaigns\")")
     dist.add_argument("--node", nargs="?", const="", default=None,
                       metavar="NAME",
                       help="run as a worker node named NAME (default: "
-                           "node-<pid>): claim jobs from the queue "
+                           "node-<pid>): claim jobs from the broker "
                            "under leases, run them, park results; "
-                           "requires --queue-dir or --queue, ignores "
-                           "input files and fuzzing flags")
-    dist.add_argument("--queue-dir", default=None, metavar="DIR",
-                      help="the shared queue directory the coordinator "
-                           "published (shared-dir transport)")
-    dist.add_argument("--queue", default=None, metavar="SPEC",
-                      help="the queue to join: 'addr:HOST:PORT' connects "
-                           "to a broker started with --serve-queue, "
-                           "'dir:DIR' is the shared directory (same as "
-                           "--queue-dir DIR)")
+                           "requires --queue, ignores input files and "
+                           "fuzzing flags")
+    dist.add_argument("--queue", default=None, metavar="addr:HOST:PORT",
+                      help="the broker to join, as started with "
+                           "--serve-queue")
     dist.add_argument("--serve-queue", default=None, metavar="HOST:PORT",
                       help="run a queue broker on HOST:PORT (port 0 "
                            "picks a free one) instead of fuzzing; "
@@ -237,9 +229,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.serve_queue is not None:
         return _serve_queue(args)
     if args.node is not None:
-        if not args.queue_dir and not args.queue:
-            print("alive-mutate: --node requires --queue-dir DIR or "
-                  "--queue addr:HOST:PORT", file=sys.stderr)
+        if not args.queue:
+            print("alive-mutate: --node requires --queue addr:HOST:PORT",
+                  file=sys.stderr)
             return 2
         if args.inputs:
             print("alive-mutate: --node takes no input files (jobs come "
@@ -359,34 +351,22 @@ def _serve_queue(args) -> int:
     return 0
 
 
-def _open_node_queue(args):
-    """The transport a node's ``--queue``/``--queue-dir`` flags name."""
-    from ..fuzz.dist import QueueError, WorkQueue
-
-    spec = args.queue
-    if spec:
-        if spec.startswith("addr:"):
-            from ..fuzz.net import SocketQueue
-            return SocketQueue(spec[len("addr:"):], node=args.node)
-        if spec.startswith("dir:"):
-            return WorkQueue(spec[len("dir:"):], node=args.node)
-        raise QueueError(f"--queue must be 'addr:HOST:PORT' or "
-                         f"'dir:DIR', got {spec!r}")
-    return WorkQueue(args.queue_dir, node=args.node)
-
-
 def _run_node(args) -> int:
     """Join a distributed campaign as a worker node (``--node``)."""
     from ..fuzz.dist import NodeRunner, QueueError
+    from ..fuzz.net import SocketQueue
 
     try:
-        queue = _open_node_queue(args)
+        if not args.queue.startswith("addr:"):
+            raise QueueError(f"--queue must be 'addr:HOST:PORT', got "
+                             f"{args.queue!r}")
+        queue = SocketQueue(args.queue[len("addr:"):], node=args.node)
     except QueueError as exc:
         print(f"alive-mutate: {exc}", file=sys.stderr)
         return 2
     runner = NodeRunner(queue, workers=max(1, args.jobs))
-    print(f"alive-mutate: node {queue.node} joining queue "
-          f"{args.queue or args.queue_dir}", file=sys.stderr)
+    print(f"alive-mutate: node {queue.node} joining queue {args.queue}",
+          file=sys.stderr)
     try:
         report = runner.run(time_budget=args.time,
                             max_jobs=args.max_node_jobs,

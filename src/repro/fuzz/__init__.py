@@ -1,6 +1,6 @@
 """Fuzzing harnesses: in-process driver, discrete baseline, corpus,
 radamsa study, bug campaign (sequential, sharded, or distributed across
-nodes via the lease-based work queue — with checkpoint/resume, watchdog
+nodes via the lease-based queue broker — with checkpoint/resume, watchdog
 deadlines, and quarantine), the fault-injection/chaos test harness, the
 throughput experiment, and the ``Session`` facade tying them
 together."""
@@ -14,12 +14,12 @@ from .corpus import (Corpus, CorpusEntry, CorpusJournal, merge_journals,
                      module_fingerprint)
 from .discrete import DiscreteConfig, DiscreteReport, run_discrete_workflow
 from .dist import (DistConfig, NodeReport, NodeRunner, QueueError,
-                   QueueMismatch, Transport, WorkQueue, open_queue)
+                   QueueMismatch)
 from .driver import (ConfigError, DeadlineExceeded, FuzzConfig, FuzzDriver,
                      FuzzReport, StageTimings)
 from .feedback import Feedback, FeedbackConfig, FeedbackMap, FeedbackStats
-from .faults import (ChaosQueue, ChaosSocketQueue, FaultInjected,
-                     FaultSpec, FaultyRunner, damage_journal, torn_write)
+from .faults import (ChaosSocketQueue, FaultInjected, FaultSpec,
+                     FaultyRunner, damage_journal, torn_write)
 from .findings import CRASH, MISCOMPILATION, BugLog, Finding
 from .net import QueueBroker, SocketQueue
 from .wire import BlobStore, DecodeCache
@@ -44,13 +44,12 @@ __all__ = [
     "module_fingerprint",
     "DiscreteConfig", "DiscreteReport", "run_discrete_workflow",
     "DistConfig", "NodeReport", "NodeRunner", "QueueError", "QueueMismatch",
-    "Transport", "WorkQueue", "open_queue",
     "QueueBroker", "SocketQueue", "BlobStore", "DecodeCache",
     "ConfigError", "DeadlineExceeded", "FuzzConfig", "FuzzDriver",
     "FuzzReport", "StageTimings",
     "Feedback", "FeedbackConfig", "FeedbackMap", "FeedbackStats",
-    "ChaosQueue", "ChaosSocketQueue", "FaultInjected", "FaultSpec",
-    "FaultyRunner", "damage_journal", "torn_write",
+    "ChaosSocketQueue", "FaultInjected", "FaultSpec", "FaultyRunner",
+    "damage_journal", "torn_write",
     "CRASH", "MISCOMPILATION", "BugLog", "Finding",
     "CampaignExecutor", "ShardJob", "ShardResult", "execute_job", "run_jobs",
     "BORING", "INTERESTING", "INVALID", "ValidityStats", "classify_mutant",

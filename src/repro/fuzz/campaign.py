@@ -102,9 +102,9 @@ class CampaignConfig:
     feedback: Optional[FeedbackConfig] = None
     # Distributed execution (see repro.fuzz.dist): when set, execute()
     # runs as the *coordinator* of a multi-node campaign — the job
-    # matrix is published to ``dist.queue_dir`` and fuzzed by external
-    # ``NodeRunner`` processes under time-bounded leases; node loss is
-    # handled by lease expiry + reclaim.  None = single-host execution.
+    # matrix is published to the broker at ``dist.queue_addr`` and
+    # fuzzed by external ``NodeRunner`` processes under time-bounded
+    # leases; node loss is handled by lease expiry + reclaim.  None = single-host execution.
     # Like checkpoint_dir/trace_dir, this is an operational knob and is
     # excluded from the campaign fingerprint.
     dist: Optional["DistConfig"] = None  # noqa: F821 — see repro.fuzz.dist

@@ -21,11 +21,6 @@ Determinism contract: admission, distillation, and iteration order are
 pure functions of the candidate sequence — no wall clock, no ambient
 RNG — so a re-run job rebuilds the identical corpus and the campaign's
 ``deterministic()`` metrics stay bit-identical across kill/resume.
-
-This module used to hold the *seed generators* (the synthetic LLVM-style
-unit-test corpus); those now live in :mod:`repro.fuzz.seeds` and remain
-importable from here for one release via a ``DeprecationWarning`` shim
-(see ``__getattr__`` below).
 """
 
 from __future__ import annotations
@@ -37,16 +32,11 @@ import os
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
-from ..ir.bitcode import BitcodeError, read_bitcode, write_bitcode
-from ..ir.parser import ParseError, parse_module
+from ..ir.bitcode import BitcodeError, read_bitcode
 from ..ir.printer import print_module
 
 __all__ = ["Corpus", "CorpusEntry", "CorpusJournal", "merge_journals",
            "module_fingerprint"]
-
-# Seed-generator names re-exported from repro.fuzz.seeds for one release.
-_LEGACY_SEED_NAMES = ("ARCHETYPES", "STANDARD_WIDTHS", "corpus_modules",
-                      "generate_corpus", "generate_large_corpus")
 
 CORPUS_JOURNAL_VERSION = 1
 
@@ -74,44 +64,27 @@ class CorpusEntry:
     source: str = "seed"
     operator: str = ""
 
-    def to_dict(self, payload_format: str = "text") -> dict:
-        """The journal record; ``payload_format="bitcode"`` stores the
-        module as base64 bitcode instead of printed text.
-
-        Corpus text is always printed-module text, and print∘parse is a
-        fixpoint, so the bitcode record reconstructs the identical text
-        on read — the entry fingerprint (a text hash) carries over
-        unchanged.  A module outside the bitcode-encodable subset falls
-        back to a text record; readers handle both (see
-        :meth:`from_dict`), so journals may mix formats freely.
-        """
-        record = {
+    def to_dict(self) -> dict:
+        """The journal record: the module travels as printed text."""
+        return {
             "kind": "entry",
             "fingerprint": self.fingerprint,
             "features": sorted(self.features),
             "seed": self.seed,
             "source": self.source,
             "operator": self.operator,
+            "text": self.text,
         }
-        if payload_format == "bitcode":
-            try:
-                data = write_bitcode(parse_module(self.text))
-            except (ParseError, BitcodeError):
-                pass
-            else:
-                record["format"] = "bitcode"
-                record["data"] = base64.b64encode(data).decode("ascii")
-                return record
-        record["text"] = self.text
-        return record
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusEntry":
         """Rebuild an entry from a text *or* bitcode journal record.
 
-        Mixed journals are the norm once a campaign upgrades formats:
-        old text records keep loading, bitcode records decode through
-        ``read_bitcode`` + ``print_module``.  Raises ``KeyError`` when
+        Journals already on disk may hold base64 bitcode records
+        (``"format": "bitcode"``) alone or mixed with text records; they
+        decode through ``read_bitcode`` + ``print_module``, and since
+        print∘parse is a fixpoint the entry fingerprint (a text hash)
+        carries over unchanged.  Raises ``KeyError`` when
         neither payload is present and ``ValueError`` on undecodable
         bitcode (both are treated as damage by :meth:`Corpus.load`).
         """
@@ -144,12 +117,8 @@ class CorpusJournal:
     corpus), and :meth:`Corpus.load` rehydrates it for later sessions.
     """
 
-    def __init__(self, path: str, payload_format: str = "text") -> None:
-        if payload_format not in ("text", "bitcode"):
-            raise ValueError(f"payload_format must be 'text' or "
-                             f"'bitcode', got {payload_format!r}")
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.payload_format = payload_format
         self._stream = None
 
     def start(self) -> None:
@@ -159,14 +128,13 @@ class CorpusJournal:
         self._stream = open(self.path, "w")
         self._write_line(json.dumps(
             {"kind": "header", "version": CORPUS_JOURNAL_VERSION,
-             "format": self.payload_format},
+             "format": "text"},
             sort_keys=True))
 
     def append(self, entry: CorpusEntry) -> None:
         if self._stream is None:
             self.start()
-        self._write_line(json.dumps(entry.to_dict(self.payload_format),
-                                    sort_keys=True))
+        self._write_line(json.dumps(entry.to_dict(), sort_keys=True))
 
     def close(self) -> None:
         if self._stream is not None:
@@ -377,23 +345,3 @@ def merge_journals(paths: Iterable[str], out_path: str,
     finally:
         journal.close()
     return len(merged)
-
-
-def __getattr__(name: str):
-    """Legacy shim: the seed generators lived here before the split.
-
-    ``from repro.fuzz.corpus import generate_corpus`` keeps working for
-    one release but warns; import from :mod:`repro.fuzz.seeds` instead.
-    """
-    if name in _LEGACY_SEED_NAMES:
-        import warnings
-
-        from . import seeds
-
-        warnings.warn(
-            f"repro.fuzz.corpus.{name} moved to repro.fuzz.seeds.{name}; "
-            "repro.fuzz.corpus now holds the runtime coverage corpus "
-            "(this re-export will be removed next release)",
-            DeprecationWarning, stacklevel=2)
-        return getattr(seeds, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,105 +1,78 @@
-"""Distributed campaigns: lease-based work distribution over a shared dir.
+"""Distributed campaigns: a coordinator and worker nodes around one broker.
 
 One coordinated campaign across many hosts, built from the pieces the
 single-host runtime already guarantees: deterministic per-job seeds,
 scheduling-invariant campaign fingerprints, associative metric merges,
-and idempotent per-job results.  The transport is deliberately the
-dumbest thing that can be made crash-safe — a shared directory (NFS,
-bind mount, or plain local disk for same-host fleets) holding one small
-JSON file per protocol step — so there is no broker to operate and no
-state that lives anywhere but the filesystem.
+and idempotent per-job results.  The queue itself lives in a
+:class:`repro.fuzz.net.QueueBroker` — a small TCP server that owns the
+lease/result state in memory and journals every accepted mutation — and
+the coordinator (:func:`run_coordinator`) and each
+:class:`NodeRunner` talk to it through a
+:class:`repro.fuzz.net.SocketQueue`.  A campaign with no standing
+broker daemon starts one in-process with ``QueueBroker(journal_dir=...)``.
 
 Protocol
 --------
-The coordinator publishes the job matrix and a ``manifest.json`` naming
-the campaign fingerprint; node runners then race over the jobs:
+The coordinator publishes the job matrix and a manifest naming the
+campaign fingerprint; node runners then race over the jobs:
 
-* **claim** — a node takes a job by *exclusively creating* its lease
-  file (``os.link`` of a unique temp file, which fails atomically if a
-  lease exists).  A lease is time-bounded: it names the node, the
-  attempt number, and an expiry timestamp.
-* **heartbeat** — the owning node periodically rewrites the lease
-  (atomic ``os.replace``) with a fresh expiry.  A node that stops
-  heartbeating — SIGKILL, kernel panic, unplugged cable — simply stops
-  renewing, and the lease expires on its own.
-* **reclaim** — any node (or the coordinator's sweep) that finds an
-  expired lease may take the job over, bumping the attempt number and
-  honoring the quarantine machinery's exponential backoff (plus the
-  campaign's optional decorrelation jitter).  Node loss is therefore
-  *the existing hang/retry path*: attempts are bounded, and a job whose
-  every lease expired is retired as ``ShardFailure(kind="node_lost")``.
+* **claim** — the broker hands a node an unleased job under a
+  time-bounded lease naming the node, the attempt number, and an
+  expiry timestamp.  Claims are decided under the broker's lock on the
+  broker's clock, so two nodes never own one lease.
+* **heartbeat** — the owning node periodically renews its lease.  A
+  node that stops heartbeating simply stops renewing and the lease
+  expires on its own; a node whose last connection drops has its
+  leases expired at once.
+* **reclaim** — a later claim of an expired lease bumps the attempt
+  number and honors the quarantine machinery's exponential backoff
+  (plus the campaign's optional decorrelation jitter).  Node loss is
+  therefore *the existing hang/retry path*: attempts are bounded, and a
+  job whose every lease expired is retired as
+  ``ShardFailure(kind="node_lost")``.
 * **result** — a finished job's :class:`~repro.fuzz.parallel.ShardResult`
-  is parked as a result file via exclusive create.  Jobs are
-  *at-least-once*: a resurrected node may finish a job that was already
-  reclaimed and re-run elsewhere, but results are keyed by (job index,
-  campaign fingerprint) and only the first publish lands — duplicates
-  are dropped deterministically, and since job execution is
+  is parked at the broker.  Jobs are *at-least-once*: a resurrected node
+  may finish a job that was already reclaimed and re-run elsewhere, but
+  results are keyed by job index and only the first publish lands —
+  duplicates are dropped deterministically, and since job execution is
   deterministic the dropped copy is bit-identical anyway.
 * **tombstone** — a job retired without a usable result (attempts
   exhausted) gets a tombstone so nodes stop reclaiming it.
 
-Every mutation is crash-safe: files are written to a unique temp name,
-fsync'd, then atomically linked or renamed into place, so a SIGKILL at
-any instant leaves either the old state or the new state, never a torn
-protocol file.  Readers treat an unparsable lease as expired (the claim
-protocol re-takes it) and an unparsable result as absent (the job
-re-runs and the repaired result replaces the torn file).
-
-Failure matrix
---------------
-=====================  ====================================================
-node killed mid-job    lease expires; job reclaimed with backoff; partial
-                       node-local state discarded (jobs are atomic)
-node killed            result already parked; coordinator collects it;
-after publish          nothing re-runs
-coordinator killed     nodes keep draining their leases and park results;
-                       a restarted coordinator re-publishes the (identical)
-                       manifest, collects parked results, and resumes
-torn queue file        impossible via the protocol (atomic rename); if
-                       injected anyway (chaos), damaged leases read as
-                       expired and damaged results as absent
-clock skew             leases are compared against the *reader's* clock;
-                       skew shortens or stretches effective lease time but
-                       never breaks exclusivity (claims are exclusive file
-                       creation, not timestamp arbitration)
-=====================  ====================================================
+The failure matrix (node, coordinator and broker kills, disconnects,
+torn journal tails) is DESIGN §10.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 import tempfile
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import (Callable, Dict, List, Optional, Protocol, Sequence, Set,
-                    Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Set, Tuple)
 
 from ..mutate import MutatorConfig
 from ..obs import MetricsRegistry
 from ..tv import RefinementConfig
 from ..tv.interp import ExecutionLimits
 from .campaign import CampaignReport, new_report
-from .checkpoint import (CheckpointJournal, jobs_fingerprint, result_from_dict,
-                         result_to_dict)
+from .checkpoint import CheckpointJournal, jobs_fingerprint
 from .driver import FuzzConfig
 from .feedback import FeedbackConfig
 from .parallel import (KIND_NODE_LOST, JobRunner, ShardJob, ShardResult,
-                       _SignalGuard, execute_job, retry_delay, run_jobs)
-from .wire import (FORMAT_BITCODE, PAYLOAD_FORMATS, BlobStore, DecodeCache,
-                   WireError, encode_payload)
+                       _SignalGuard, execute_job, run_jobs)
+
+if TYPE_CHECKING:
+    from .net import SocketQueue
 
 __all__ = ["DistConfig", "NodeReport", "NodeRunner", "QueueError",
-           "QueueMismatch", "Transport", "WorkQueue", "job_from_dict",
-           "job_from_wire", "job_to_dict", "job_to_wire", "open_queue",
+           "QueueMismatch", "job_from_wire", "job_to_wire",
            "run_coordinator"]
 
-MANIFEST_NAME = "manifest.json"
-QUEUE_VERSION = 2
 MERGED_CORPUS_NAME = "merged.corpus.jsonl"
-BLOBS_DIR = "blobs"
 
 #: Tombstone/terminal reasons.
 REASON_NODE_LOST = KIND_NODE_LOST
@@ -107,15 +80,15 @@ REASON_QUARANTINE = "quarantine"
 
 
 class QueueError(RuntimeError):
-    """The work queue directory cannot be used (I/O or format problem)."""
+    """The queue broker cannot be used (unreachable or protocol problem)."""
 
 
 class QueueMismatch(QueueError):
-    """The queue directory belongs to a different campaign.
+    """The broker serves a different campaign.
 
     Raised when a manifest's fingerprint disagrees with the campaign
     about to be published or joined: mixing two campaigns in one queue
-    directory would merge findings across configurations.
+    would merge findings across configurations.
     """
 
 
@@ -128,18 +101,9 @@ class DistConfig:
     fingerprint and may differ between a run and its resume.
     """
 
-    # The shared queue directory every node and the coordinator mount
-    # (the filesystem transport; exclusive with queue_addr).
-    queue_dir: str = ""
-    # A ``host:port`` broker address (the socket transport — a
-    # :class:`repro.fuzz.net.QueueBroker` someone is serving; exclusive
-    # with queue_dir).
+    # The ``host:port`` of the :class:`repro.fuzz.net.QueueBroker`
+    # serving the queue.
     queue_addr: str = ""
-    # How module payloads travel: "bitcode" (the compact binary format,
-    # content-addressed and decoded once per node) or "text" (printed
-    # IR verbatim — the ablation/debug path).  Findings and
-    # deterministic() metrics are identical either way.
-    payload_format: str = FORMAT_BITCODE
     # Seconds a lease lives between heartbeats.  Short leases detect
     # node loss quickly but demand frequent heartbeats; the node
     # heartbeats every lease_duration / 3 by default.
@@ -153,15 +117,8 @@ class DistConfig:
     wait_timeout: Optional[float] = None
 
     def validate(self) -> "DistConfig":
-        if not self.queue_dir and not self.queue_addr:
-            raise ValueError("dist.queue_dir or dist.queue_addr is required")
-        if self.queue_dir and self.queue_addr:
-            raise ValueError("dist.queue_dir and dist.queue_addr are "
-                             "exclusive: one campaign, one transport")
-        if self.payload_format not in PAYLOAD_FORMATS:
-            raise ValueError(f"dist.payload_format must be one of "
-                             f"{PAYLOAD_FORMATS}, got "
-                             f"{self.payload_format!r}")
+        if not self.queue_addr:
+            raise ValueError("dist.queue_addr is required")
         if self.lease_duration <= 0:
             raise ValueError("dist.lease_duration must be positive, "
                              f"got {self.lease_duration}")
@@ -178,23 +135,8 @@ class DistConfig:
 
 
 # ---------------------------------------------------------------------------
-# ShardJob <-> JSON (the wire format of the jobs/ directory).
+# ShardJob <-> the broker's job records.
 # ---------------------------------------------------------------------------
-
-
-def job_to_dict(job: ShardJob) -> dict:
-    """A self-contained JSON-safe dict for one :class:`ShardJob`.
-
-    ``dataclasses.asdict`` flattens the nested config dataclasses; the
-    result round-trips through :func:`job_from_dict` to a job whose
-    :func:`~repro.fuzz.checkpoint.jobs_fingerprint` matches the
-    original's, which is what lets a node verify it is running the
-    campaign the manifest claims.  This full form is the
-    checkpoint/debug representation; the queue itself ships the deduped
-    :func:`job_to_wire` form (shared config in the manifest, module
-    payload by content hash).
-    """
-    return asdict(job)
 
 
 def config_from_dict(config: dict) -> FuzzConfig:
@@ -211,25 +153,9 @@ def config_from_dict(config: dict) -> FuzzConfig:
         **config)
 
 
-def job_from_dict(data: dict) -> ShardJob:
-    """Rehydrate a :class:`ShardJob` serialized by :func:`job_to_dict`."""
-    return ShardJob(
-        job_index=data["job_index"],
-        file_name=data["file_name"],
-        text=data["text"],
-        config=config_from_dict(data["config"]),
-        iterations=data.get("iterations"),
-        time_budget=data.get("time_budget"),
-        confirm_attributions=data.get("confirm_attributions", False),
-        deadline=data.get("deadline"),
-        trace_dir=data.get("trace_dir"),
-        trace_sample=data.get("trace_sample", 1.0),
-    )
-
-
 def _jsonified(value):
     """``value`` normalized through a JSON round-trip (tuples -> lists),
-    so configs hydrated from disk diff cleanly against fresh ones."""
+    so configs hydrated from the wire diff cleanly against fresh ones."""
     return json.loads(json.dumps(value, sort_keys=True, default=str))
 
 
@@ -308,66 +234,14 @@ def job_from_wire(record: dict, shared_config: dict,
 
 
 # ---------------------------------------------------------------------------
-# The transport protocol.
-# ---------------------------------------------------------------------------
-
-
-class Transport(Protocol):
-    """The queue verbs :func:`run_coordinator` and :class:`NodeRunner` use.
-
-    Extracted from :class:`WorkQueue` so the runtime is
-    transport-agnostic: the shared-dir queue and the socket queue
-    (:class:`repro.fuzz.net.SocketQueue`) implement the same surface,
-    and everything above this line — claims, heartbeats, retries,
-    result dedup, corpus merging — behaves identically over both.
-    """
-
-    node: str
-    metrics: MetricsRegistry
-
-    def manifest(self) -> Optional[dict]: ...
-
-    def publish(self, jobs: Sequence[ShardJob], fingerprint: str,
-                total_jobs: Optional[int] = None,
-                lease_duration: float = 30.0, max_attempts: int = 3,
-                retry_backoff: float = 0.25,
-                retry_jitter: float = 0.0) -> None: ...
-
-    def claim_next(self, limit: int = 1) -> List[Tuple[ShardJob,
-                                                       "Lease"]]: ...
-
-    def heartbeat(self, job_index: int, lease_duration: float) -> bool: ...
-
-    def release_for_retry(self, job_index: int, lease: "Lease",
-                          failure_kind: str, error: str) -> None: ...
-
-    def publish_result(self, result: ShardResult, fingerprint: str,
-                       attempt: int = 1) -> bool: ...
-
-    def publish_corpus(self, job_index: int, journal_path: str) -> bool: ...
-
-    def corpus_paths(self) -> List[Tuple[int, str]]: ...
-
-    def collect_results(self, fingerprint: str) -> Dict[int,
-                                                        ShardResult]: ...
-
-    def collect_tombstones(self) -> Dict[int, dict]: ...
-
-    def sweep(self) -> int: ...
-
-    def drained(self) -> bool: ...
-
-    def close(self) -> None: ...
-
-
-# ---------------------------------------------------------------------------
-# The filesystem-backed work queue.
+# Leases.
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class Lease:
-    """One lease record as stored in ``leases/job-<index>.json``."""
+    """One job's lease as the broker holds it (soft state, never
+    journaled)."""
 
     node: str
     attempt: int
@@ -393,588 +267,6 @@ class Lease:
                    error=data.get("error", ""))
 
 
-class WorkQueue:
-    """Crash-safe lease/result protocol over one shared directory.
-
-    Every instance (coordinator or node) talks to the same directory;
-    there is no in-memory state another process could need.  All
-    mutations go through :meth:`_write_atomic` (write temp + fsync +
-    ``os.replace``) or :meth:`_create_exclusive` (write temp + fsync +
-    ``os.link``), so a SIGKILL at any instant leaves a recoverable
-    state.  ``clock`` is injectable for chaos tests (clock skew) and
-    deterministic simulations.
-    """
-
-    def __init__(self, directory: str, node: str = "",
-                 clock: Callable[[], float] = time.time,
-                 payload_format: str = FORMAT_BITCODE) -> None:
-        self.directory = directory
-        self.node = node or f"node-{os.getpid()}"
-        self.clock = clock
-        self.payload_format = payload_format
-        self.metrics = MetricsRegistry()
-        self.blobs = BlobStore(os.path.join(directory, BLOBS_DIR),
-                               metrics=self.metrics)
-        self.decode_cache = DecodeCache(metrics=self.metrics)
-        self._tmp_serial = 0
-        self._job_cache: Dict[int, ShardJob] = {}
-        self._manifest_cache: Optional[dict] = None
-
-    # -- paths --------------------------------------------------------------
-
-    def _dir(self, name: str) -> str:
-        return os.path.join(self.directory, name)
-
-    def manifest_path(self) -> str:
-        return os.path.join(self.directory, MANIFEST_NAME)
-
-    def job_path(self, job_index: int) -> str:
-        return os.path.join(self._dir("jobs"), f"job-{job_index:06d}.json")
-
-    def lease_path(self, job_index: int) -> str:
-        return os.path.join(self._dir("leases"), f"job-{job_index:06d}.json")
-
-    def result_path(self, job_index: int) -> str:
-        return os.path.join(self._dir("results"), f"job-{job_index:06d}.json")
-
-    def tombstone_path(self, job_index: int) -> str:
-        return os.path.join(self._dir("tombstones"),
-                            f"job-{job_index:06d}.json")
-
-    def corpus_path(self, job_index: int) -> str:
-        return os.path.join(self._dir("corpus"),
-                            f"job-{job_index:06d}.corpus.jsonl")
-
-    # -- atomic file primitives --------------------------------------------
-
-    def _tmp_path(self, final_path: str) -> str:
-        self._tmp_serial += 1
-        directory, base = os.path.split(final_path)
-        return os.path.join(directory, f".{base}.{self.node}."
-                                       f"{os.getpid()}.{self._tmp_serial}.tmp")
-
-    def _write_payload(self, tmp: str, payload: dict) -> None:
-        with open(tmp, "w") as stream:
-            stream.write(json.dumps(payload, sort_keys=True) + "\n")
-            stream.flush()
-            os.fsync(stream.fileno())
-
-    def _write_atomic(self, path: str, payload: dict) -> None:
-        """Last-writer-wins atomic replace (heartbeats, reclaims)."""
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = self._tmp_path(path)
-        self._write_payload(tmp, payload)
-        os.replace(tmp, path)
-
-    def _create_exclusive(self, path: str, payload: dict) -> bool:
-        """First-writer-wins atomic create (claims, results, tombstones).
-
-        Returns False if ``path`` already exists — the caller lost the
-        race (or is a duplicate publisher) and must not assume
-        ownership.
-        """
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = self._tmp_path(path)
-        self._write_payload(tmp, payload)
-        try:
-            os.link(tmp, path)
-            return True
-        except FileExistsError:
-            return False
-        finally:
-            os.unlink(tmp)
-
-    def _read_json(self, path: str) -> Optional[dict]:
-        """Parse one protocol file; None if absent *or damaged*.
-
-        Damage (torn writes injected by chaos, or a reader racing a
-        non-atomic writer on an exotic filesystem) is indistinguishable
-        from absence by design: a damaged lease is reclaimable, a
-        damaged result re-runs.
-        """
-        try:
-            with open(path, "rb") as stream:
-                raw = stream.read()
-        except OSError:
-            return None
-        try:
-            data = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            self.metrics.count("dist.files.damaged")
-            return None
-        return data if isinstance(data, dict) else None
-
-    # -- coordinator: publish ----------------------------------------------
-
-    def publish(self, jobs: Sequence[ShardJob], fingerprint: str,
-                total_jobs: Optional[int] = None,
-                lease_duration: float = 30.0, max_attempts: int = 3,
-                retry_backoff: float = 0.25,
-                retry_jitter: float = 0.0) -> None:
-        """Publish ``jobs`` and the campaign manifest.
-
-        Job files land first, the manifest last (atomically), so nodes
-        never observe a campaign whose jobs are still being written.  A
-        coordinator killed mid-publish leaves no manifest (or the old,
-        identical one); re-running ``publish`` is idempotent.  An
-        existing manifest with a different fingerprint raises
-        :class:`QueueMismatch` — one queue directory serves one
-        campaign.
-        """
-        existing = self._read_json(self.manifest_path())
-        if existing is not None \
-                and existing.get("fingerprint") != fingerprint:
-            raise QueueMismatch(
-                f"{self.directory} already serves campaign "
-                f"{existing.get('fingerprint', '?')[:12]}, not "
-                f"{fingerprint[:12]}; use a fresh queue directory")
-        # The config-diff base: once a manifest exists its shared config
-        # is authoritative (a resume's re-publish may cover a different
-        # job subset, and the already-published records diff against the
-        # original base); a fresh campaign derives it from the first job.
-        shared_config = None
-        if existing is not None:
-            shared_config = existing.get("shared_config")
-        if shared_config is None and jobs:
-            shared_config = _jsonified(asdict(jobs[0].config))
-        for job in jobs:
-            payload, actual_format = encode_payload(
-                job.text, self.payload_format, metrics=self.metrics)
-            sha = self.blobs.put(payload)
-            record = {
-                "kind": "job",
-                "fingerprint": fingerprint,
-                "job": job_to_wire(job, shared_config, sha, actual_format),
-            }
-            current = self._read_json(self.job_path(job.job_index))
-            if current == record:
-                # Re-published retry job with unchanged state: the blob
-                # is content-addressed and the record identical, so
-                # nothing is re-serialized.
-                self.metrics.count("dist.jobs.unchanged")
-                continue
-            self._write_atomic(self.job_path(job.job_index), record)
-            self.metrics.count("dist.jobs.published")
-        self._write_atomic(self.manifest_path(), {
-            "kind": "manifest",
-            "version": QUEUE_VERSION,
-            "fingerprint": fingerprint,
-            "total_jobs": (total_jobs if total_jobs is not None
-                           else len(jobs)),
-            "lease_duration": lease_duration,
-            "max_attempts": max_attempts,
-            "retry_backoff": retry_backoff,
-            "retry_jitter": retry_jitter,
-            "shared_config": shared_config,
-        })
-        self._manifest_cache = None
-
-    def manifest(self) -> Optional[dict]:
-        """The campaign manifest, or None until a coordinator publishes."""
-        if self._manifest_cache is not None:
-            return self._manifest_cache
-        data = self._read_json(self.manifest_path())
-        if data is not None and data.get("kind") != "manifest":
-            return None
-        if data is not None:
-            # Manifests are immutable once published (same fingerprint,
-            # same content), so one read serves the whole session.
-            self._manifest_cache = data
-        return data
-
-    # -- nodes: jobs and claims --------------------------------------------
-
-    def published_indexes(self) -> List[int]:
-        """Every published job index, sorted."""
-        try:
-            names = os.listdir(self._dir("jobs"))
-        except OSError:
-            return []
-        indexes = []
-        for name in names:
-            if name.startswith("job-") and name.endswith(".json"):
-                try:
-                    indexes.append(int(name[4:-5]))
-                except ValueError:
-                    continue
-        return sorted(indexes)
-
-    def load_job(self, job_index: int) -> Optional[ShardJob]:
-        cached = self._job_cache.get(job_index)
-        if cached is not None:
-            return cached
-        data = self._read_json(self.job_path(job_index))
-        if data is None or data.get("kind") != "job":
-            return None
-        record = data.get("job")
-        if not isinstance(record, dict):
-            return None
-        try:
-            if "text" in record:
-                # Legacy self-contained record (queue version 1): full
-                # config and inline text; still loadable so old queue
-                # directories drain cleanly.
-                job = job_from_dict(record)
-            else:
-                job = self._job_from_record(record)
-        except (KeyError, TypeError, ValueError, WireError):
-            return None
-        if job is None:
-            return None
-        self._job_cache[job_index] = job
-        return job
-
-    def _job_from_record(self, record: dict) -> Optional[ShardJob]:
-        """Resolve a deduped record: manifest config + blob payload."""
-        manifest = self.manifest()
-        if manifest is None:
-            return None
-        shared_config = manifest.get("shared_config")
-        if not isinstance(shared_config, dict):
-            return None
-        payload = record.get("payload", {})
-        sha = payload.get("sha", "")
-        data = self.blobs.get(sha)
-        if data is None:
-            return None
-        text = self.decode_cache.text(sha, data,
-                                      payload.get("format", "text"))
-        return job_from_wire(record, shared_config, text)
-
-    def read_lease(self, job_index: int) -> Optional[Lease]:
-        data = self._read_json(self.lease_path(job_index))
-        if data is None or data.get("kind") != "lease":
-            return None
-        try:
-            return Lease.from_dict(data)
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def has_result(self, job_index: int) -> bool:
-        return self._read_json(self.result_path(job_index)) is not None
-
-    def has_tombstone(self, job_index: int) -> bool:
-        return self._read_json(self.tombstone_path(job_index)) is not None
-
-    def settled(self, job_index: int) -> bool:
-        """True once the job has a (readable) result or tombstone."""
-        return self.has_result(job_index) or self.has_tombstone(job_index)
-
-    def drained(self) -> bool:
-        """True when every published job is settled."""
-        return all(self.settled(index) for index in self.published_indexes())
-
-    def claim(self, job_index: int,
-              manifest: Optional[dict] = None) -> Optional[Tuple[ShardJob,
-                                                                 Lease]]:
-        """Try to take one job; None if it is settled, leased, or backing
-        off.
-
-        Fresh jobs are claimed by exclusive lease creation; expired (or
-        damaged, or released-for-retry) leases are reclaimed by atomic
-        replace followed by a read-back ownership check — two nodes may
-        race the replace, but exactly one sees itself as the owner
-        afterwards, and even a double-run is safe (results dedup).
-        Reclaims honor the campaign's retry backoff + jitter and retire
-        the job with a tombstone once ``max_attempts`` is exhausted.
-        """
-        manifest = manifest or self.manifest()
-        if manifest is None:
-            return None
-        if self.settled(job_index):
-            return None
-        job = self.load_job(job_index)
-        if job is None:
-            return None
-        now = self.clock()
-        duration = float(manifest.get("lease_duration", 30.0))
-        previous = self.read_lease(job_index)
-        if previous is None:
-            attempt = 1
-            if os.path.exists(self.lease_path(job_index)):
-                # Damaged lease file: crash-consistency says treat it as
-                # expired with unknown history; replace it outright.
-                lease = Lease(node=self.node, attempt=attempt,
-                              claimed_at=now, expires_at=now + duration)
-                self._write_atomic(self.lease_path(job_index),
-                                   lease.to_dict())
-                self.metrics.count("dist.lease.reclaims")
-            else:
-                lease = Lease(node=self.node, attempt=attempt,
-                              claimed_at=now, expires_at=now + duration)
-                if not self._create_exclusive(self.lease_path(job_index),
-                                              lease.to_dict()):
-                    return None  # lost the race
-                self.metrics.count("dist.lease.claims")
-        else:
-            if previous.expires_at > now and not previous.released:
-                return None  # live lease
-            if previous.attempt >= int(manifest.get("max_attempts", 3)):
-                self.retire(job_index, previous)
-                return None
-            backoff = retry_delay(
-                float(manifest.get("retry_backoff", 0.25)),
-                previous.attempt,
-                float(manifest.get("retry_jitter", 0.0)),
-                manifest.get("fingerprint", ""), job_index)
-            if now < previous.expires_at + backoff:
-                return None  # still backing off
-            attempt = previous.attempt + 1
-            lease = Lease(node=self.node, attempt=attempt,
-                          claimed_at=now, expires_at=now + duration)
-            self._write_atomic(self.lease_path(job_index), lease.to_dict())
-            self.metrics.count("dist.lease.reclaims")
-            # Read-back ownership check: if another node replaced after
-            # us, it owns the job now (at most one of the racers sees
-            # its own write).
-            current = self.read_lease(job_index)
-            if current is None or current.node != self.node \
-                    or current.claimed_at != lease.claimed_at:
-                return None
-        return job, lease
-
-    def claim_next(self, limit: int = 1) -> List[Tuple[ShardJob, Lease]]:
-        """Claim up to ``limit`` runnable jobs, lowest index first."""
-        manifest = self.manifest()
-        if manifest is None:
-            return []
-        claimed: List[Tuple[ShardJob, Lease]] = []
-        for index in self.published_indexes():
-            if len(claimed) >= limit:
-                break
-            taken = self.claim(index, manifest)
-            if taken is not None:
-                claimed.append(taken)
-        return claimed
-
-    def heartbeat(self, job_index: int, lease_duration: float) -> bool:
-        """Renew this node's lease; False if the lease was lost.
-
-        A lost heartbeat means the lease expired (e.g. a long GC pause
-        or clock skew) and someone else reclaimed the job.  The caller
-        may keep running — the duplicate result will be dropped — but
-        should stop renewing.
-        """
-        current = self.read_lease(job_index)
-        if current is None or current.node != self.node:
-            self.metrics.count("dist.lease.lost")
-            return False
-        now = self.clock()
-        renewed = Lease(node=self.node, attempt=current.attempt,
-                        claimed_at=current.claimed_at,
-                        expires_at=now + lease_duration)
-        self._write_atomic(self.lease_path(job_index), renewed.to_dict())
-        self.metrics.count("dist.heartbeats")
-        return True
-
-    def release_for_retry(self, job_index: int, lease: Lease,
-                          failure_kind: str, error: str) -> None:
-        """Give a hang/crash job back to the queue for reclaim-with-backoff.
-
-        The lease stays on disk as the attempt record, expired as of
-        now, with the failure recorded — the next claim bumps the
-        attempt and (once attempts are exhausted) the failure kind
-        decides between a ``quarantine`` and a ``node_lost`` retirement.
-        """
-        released = Lease(node=self.node, attempt=lease.attempt,
-                         claimed_at=lease.claimed_at,
-                         expires_at=self.clock(), released=True,
-                         failure_kind=failure_kind, error=error)
-        self._write_atomic(self.lease_path(job_index), released.to_dict())
-        self.metrics.count("dist.lease.released")
-
-    def retire(self, job_index: int, lease: Lease) -> bool:
-        """Tombstone a job whose attempts are exhausted.
-
-        ``released`` leases retire as ``quarantine`` (the node watched
-        the job hang or crash and said so); silently expired leases
-        retire as ``node_lost`` (the node vanished mid-lease).
-        """
-        reason = REASON_QUARANTINE if lease.released else REASON_NODE_LOST
-        error = lease.error or (f"lease of node {lease.node!r} expired "
-                                f"(attempt {lease.attempt})")
-        created = self._create_exclusive(self.tombstone_path(job_index), {
-            "kind": "tombstone",
-            "reason": reason,
-            "attempts": lease.attempt,
-            "node": lease.node,
-            "failure_kind": lease.failure_kind or reason,
-            "error": error,
-        })
-        if created:
-            self.metrics.count("dist.tombstones")
-        return created
-
-    # -- nodes: publishing results -----------------------------------------
-
-    def publish_result(self, result: ShardResult, fingerprint: str,
-                       attempt: int = 1) -> bool:
-        """Park one terminal shard result; False if it was a duplicate.
-
-        First-writer-wins (exclusive create).  A torn result file left
-        by chaos injection parses as absent, so the retry's publish
-        *repairs* it via atomic replace instead of dropping the good
-        copy.
-        """
-        payload = {
-            "kind": "result",
-            "fingerprint": fingerprint,
-            "node": self.node,
-            "attempt": attempt,
-            "result": result_to_dict(result),
-        }
-        path = self.result_path(result.job_index)
-        if self._create_exclusive(path, payload):
-            self.metrics.count("dist.results.published")
-            self._drop_lease(result.job_index)
-            return True
-        if self._read_json(path) is None:
-            # Existing file is torn/unreadable: repair it.
-            self._write_atomic(path, payload)
-            self.metrics.count("dist.results.repaired")
-            self._drop_lease(result.job_index)
-            return True
-        self.metrics.count("dist.results.duplicate")
-        return False
-
-    def publish_corpus(self, job_index: int, journal_path: str) -> bool:
-        """Park a job's corpus-journal delta next to its result."""
-        path = self.corpus_path(job_index)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = self._tmp_path(path)
-        try:
-            shutil.copyfile(journal_path, tmp)
-        except OSError:
-            return False
-        with open(tmp, "rb") as stream:
-            os.fsync(stream.fileno())
-        os.replace(tmp, path)
-        self.metrics.count("dist.corpus.published")
-        return True
-
-    def corpus_paths(self) -> List[Tuple[int, str]]:
-        """Published corpus deltas as (job index, path), index-sorted."""
-        try:
-            names = os.listdir(self._dir("corpus"))
-        except OSError:
-            return []
-        deltas = []
-        for name in names:
-            if name.startswith("job-") and name.endswith(".corpus.jsonl"):
-                try:
-                    index = int(name[4:-len(".corpus.jsonl")])
-                except ValueError:
-                    continue
-                deltas.append((index, os.path.join(self._dir("corpus"),
-                                                   name)))
-        return sorted(deltas)
-
-    def _drop_lease(self, job_index: int) -> None:
-        try:
-            os.unlink(self.lease_path(job_index))
-        except OSError:
-            pass
-
-    # -- coordinator: collection and sweeping ------------------------------
-
-    def collect_results(self, fingerprint: str) -> Dict[int, ShardResult]:
-        """Every parked result of *this* campaign, keyed by job index.
-
-        Results carrying a foreign fingerprint (a resurrected node from
-        an older campaign that somehow shares the directory) are
-        dropped; damaged files read as absent and the job re-runs.
-        """
-        results: Dict[int, ShardResult] = {}
-        try:
-            names = sorted(os.listdir(self._dir("results")))
-        except OSError:
-            return results
-        for name in names:
-            if not (name.startswith("job-") and name.endswith(".json")):
-                continue
-            data = self._read_json(os.path.join(self._dir("results"), name))
-            if data is None or data.get("kind") != "result":
-                continue
-            if data.get("fingerprint") != fingerprint:
-                self.metrics.count("dist.results.foreign")
-                continue
-            try:
-                result = result_from_dict(data["result"])
-            except (KeyError, TypeError):
-                continue
-            results[result.job_index] = result
-        return results
-
-    def collect_tombstones(self) -> Dict[int, dict]:
-        stones: Dict[int, dict] = {}
-        try:
-            names = sorted(os.listdir(self._dir("tombstones")))
-        except OSError:
-            return stones
-        for name in names:
-            if not (name.startswith("job-") and name.endswith(".json")):
-                continue
-            data = self._read_json(os.path.join(self._dir("tombstones"),
-                                                name))
-            if data is None or data.get("kind") != "tombstone":
-                continue
-            try:
-                stones[int(name[4:-5])] = data
-            except ValueError:
-                continue
-        return stones
-
-    def sweep(self) -> int:
-        """Retire jobs whose attempts are exhausted; count lost leases.
-
-        Nodes normally do the reclaiming themselves, but if the whole
-        fleet died the coordinator's sweep is what turns the silence
-        into ``node_lost`` tombstones instead of an eternal wait.
-        Returns how many jobs were newly retired.
-        """
-        manifest = self.manifest()
-        if manifest is None:
-            return 0
-        now = self.clock()
-        max_attempts = int(manifest.get("max_attempts", 3))
-        retired = 0
-        for index in self.published_indexes():
-            if self.settled(index):
-                continue
-            lease = self.read_lease(index)
-            if lease is None:
-                continue
-            if lease.expires_at > now and not lease.released:
-                continue
-            if not lease.released:
-                self.metrics.count("dist.lease.expired")
-            if lease.attempt >= max_attempts:
-                if self.retire(index, lease):
-                    retired += 1
-                    if not lease.released:
-                        self.metrics.count("dist.node_lost")
-        return retired
-
-    def close(self) -> None:
-        """Release transport resources (none: the directory is the state)."""
-
-
-def open_queue(dist: DistConfig, node: str = "") -> "Transport":
-    """The transport a :class:`DistConfig` names.
-
-    ``queue_dir`` opens the shared-directory :class:`WorkQueue`;
-    ``queue_addr`` connects a :class:`repro.fuzz.net.SocketQueue` to a
-    running broker.  Everything above the :class:`Transport` surface is
-    identical over both.
-    """
-    if dist.queue_addr:
-        from .net import SocketQueue
-        return SocketQueue(dist.queue_addr, node=node,
-                           payload_format=dist.payload_format)
-    return WorkQueue(dist.queue_dir, node=node,
-                     payload_format=dist.payload_format)
-
-
 # ---------------------------------------------------------------------------
 # The node runner.
 # ---------------------------------------------------------------------------
@@ -994,7 +286,7 @@ class NodeReport:
 
 
 class NodeRunner:
-    """Pull jobs from a :class:`Transport` and run them to completion.
+    """Pull jobs from a broker queue and run them to completion.
 
     Claimed jobs run through the existing execution stack —
     :func:`repro.fuzz.parallel.run_jobs` in isolated (process-per-job)
@@ -1012,7 +304,7 @@ class NodeRunner:
     matching single-host semantics where only hangs and crashes retry.
     """
 
-    def __init__(self, queue: "Transport", workers: int = 1,
+    def __init__(self, queue: "SocketQueue", workers: int = 1,
                  runner: JobRunner = execute_job,
                  poll_interval: float = 0.05,
                  work_dir: Optional[str] = None) -> None:
@@ -1152,8 +444,8 @@ class NodeRunner:
 
         The coordinator's ``feedback.corpus_dir`` (if any) names a path
         on *its* filesystem; on the node the journal is written to a
-        private per-job directory and *published* into the queue after
-        the job completes — the shared dir sees only whole, settled
+        private per-job directory and *published* to the broker after
+        the job completes — the queue sees only whole, settled
         deltas.  ``corpus_dir`` is excluded from the campaign
         fingerprint, so the rewrite does not change the job's identity.
         """
@@ -1205,7 +497,7 @@ def synthesize_tombstone_result(job: ShardJob, stone: dict) -> ShardResult:
         attempts=int(stone.get("attempts", 1)))
 
 
-def merge_corpus_journals(queue: "Transport", out_path: str,
+def merge_corpus_journals(queue: "SocketQueue", out_path: str,
                           max_size: int = 4096) -> int:
     """Merge every published corpus delta into one campaign journal.
 
@@ -1214,14 +506,20 @@ def merge_corpus_journals(queue: "Transport", out_path: str,
     produced which delta) into one campaign-level corpus via
     :func:`repro.fuzz.corpus.merge_journals`, and the merged journal
     can seed the next campaign via ``Corpus.load``.  Returns the number
-    of entries in the merged corpus.
+    of entries in the merged corpus; with no deltas nothing is written.
     """
     from .corpus import merge_journals
-    deltas = queue.corpus_paths()
+    deltas = queue.corpus_deltas()
     if not deltas:
         return 0
-    return merge_journals([path for _index, path in deltas], out_path,
-                          max_size=max_size)
+    with tempfile.TemporaryDirectory(prefix="repro-dist-corpus-") as scratch:
+        paths = []
+        for index, data in deltas:
+            path = os.path.join(scratch, f"job-{index:06d}.corpus.jsonl")
+            with open(path, "wb") as stream:
+                stream.write(data)
+            paths.append(path)
+        return merge_journals(paths, out_path, max_size=max_size)
 
 
 def run_coordinator(executor, resume: bool = False) -> CampaignReport:
@@ -1237,8 +535,13 @@ def run_coordinator(executor, resume: bool = False) -> CampaignReport:
 
     A killed coordinator loses nothing: nodes keep draining their
     leases and parking results; re-running with ``resume=True`` (or
-    even without a checkpoint — the queue itself holds every parked
+    even without a checkpoint — the broker itself holds every parked
     result) collects them and continues.
+
+    Corpus deltas the nodes published are merged into
+    ``merged.corpus.jsonl`` under ``checkpoint_dir``, or else under the
+    campaign's ``feedback.corpus_dir``; with neither set there is
+    nowhere durable to put it and the merge is skipped.
     """
     config = executor.config
     dist = config.dist.validate()
@@ -1253,7 +556,8 @@ def run_coordinator(executor, resume: bool = False) -> CampaignReport:
         journal = CheckpointJournal(config.checkpoint_dir)
         cached = journal.start(fingerprint, total_jobs=len(jobs),
                                resume=resume)
-    queue = open_queue(dist, node="coordinator")
+    from .net import SocketQueue
+    queue = SocketQueue(dist.queue_addr, node="coordinator")
     todo = [job for job in jobs if job.job_index not in cached]
     queue.publish(todo, fingerprint, total_jobs=len(jobs),
                   lease_duration=dist.lease_duration,
@@ -1306,12 +610,14 @@ def run_coordinator(executor, resume: bool = False) -> CampaignReport:
     terminal.sort(key=lambda result: result.job_index)
     executor._merge(report, jobs, terminal)
     report.metrics.merge(queue.metrics)
-    merged_dir = dist.queue_dir or config.checkpoint_dir \
-        or tempfile.mkdtemp(prefix="repro-dist-corpus-")
-    merged_entries = merge_corpus_journals(
-        queue, os.path.join(merged_dir, MERGED_CORPUS_NAME))
-    if merged_entries:
-        report.metrics.count("dist.corpus.merged_entries", merged_entries)
+    feedback = config.feedback or config.fuzz.feedback
+    merged_dir = config.checkpoint_dir or feedback.corpus_dir
+    if merged_dir:
+        merged_entries = merge_corpus_journals(
+            queue, os.path.join(merged_dir, MERGED_CORPUS_NAME))
+        if merged_entries:
+            report.metrics.count("dist.corpus.merged_entries",
+                                 merged_entries)
     queue.close()
     report.resumed_jobs = len(cached)
     report.interrupted = stop.requested

@@ -9,15 +9,15 @@ faults *by job index*, so every fault-tolerance path can be exercised
 deterministically — plus the on-disk half of the harness:
 
 * :func:`damage_journal` simulates a crash mid-append on any fsync'd
-  JSONL journal (checkpoint, corpus, findings) *or* a torn write on a
-  single-record queue file, leaving a truncated trailing record;
+  JSONL journal (checkpoint, corpus, findings, broker), leaving a
+  truncated trailing record;
 * :func:`torn_write` simulates the rawest failure — a partial
   ``os.write`` cut short by SIGKILL — by writing only a prefix of the
   payload straight to the target path, bypassing the atomic-rename
   protocol the real writers use;
-* :class:`ChaosQueue` wraps :class:`repro.fuzz.dist.WorkQueue` with
-  injected lease expiry, torn queue files, duplicate delivery, and
-  per-instance clock skew, for distributed-protocol chaos tests.
+* :class:`ChaosSocketQueue` wraps :class:`repro.fuzz.net.SocketQueue`
+  with dropped connections, torn frames, and duplicate result
+  deliveries, for distributed-protocol chaos tests.
 
 >>> runner = FaultyRunner({3: FaultSpec("exit")}, state_dir=tmp)
 >>> CampaignExecutor(config, job_runner=runner).execute()
@@ -34,15 +34,14 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
-from .dist import WorkQueue
 from .net import SocketQueue
 from .parallel import ShardJob, ShardResult, execute_job
 from .wire import TAG_RESULT, encode_frame
 
-__all__ = ["ChaosQueue", "ChaosSocketQueue", "FaultInjected", "FaultSpec",
-           "FaultyRunner", "damage_journal", "torn_write"]
+__all__ = ["ChaosSocketQueue", "FaultInjected", "FaultSpec", "FaultyRunner",
+           "damage_journal", "torn_write"]
 
 
 class FaultInjected(RuntimeError):
@@ -129,27 +128,21 @@ class FaultyRunner:
         raise ValueError(f"unknown fault action {spec.action!r}")
 
 
-def damage_journal(path: str, keep_bytes: int = 20,
-                   allow_single: bool = False) -> None:
+def damage_journal(path: str, keep_bytes: int = 20) -> None:
     """Simulate a crash mid-append on any fsync'd JSONL file.
 
     Truncates the file's final record to its first ``keep_bytes``
     bytes with no trailing newline — exactly what a kill between
     ``write`` and the completing newline+fsync leaves behind.  Works on
-    every journal in the system (checkpoint, corpus, findings): resume
-    must detect the damaged tail, drop it, and redo only that record.
-
-    With ``allow_single`` the file may hold a *single* record — the
-    queue-file case (manifest, lease, result, tombstone are one JSON
-    line each), where the damage leaves no complete record at all and
-    readers must treat the file as absent.  Without it a single-record
-    file raises, preserving the original journal-only contract.
+    every journal in the system (checkpoint, corpus, findings, broker):
+    resume must detect the damaged tail, drop it, and redo only that
+    record.
     """
     with open(path, "rb") as stream:
         raw = stream.read()
     body = raw.rstrip(b"\n")
     cut = body.rfind(b"\n")
-    if cut < 0 and not allow_single:
+    if cut < 0:
         raise ValueError(f"{path}: journal has no complete record to damage")
     last = body[cut + 1:]
     with open(path, "wb") as stream:
@@ -165,8 +158,8 @@ def torn_write(path: str, payload: bytes, fraction: float = 0.5) -> None:
     ``path`` — deliberately *not* using the write-temp-then-rename
     protocol — modelling a writer that skipped the protocol (or a
     filesystem that tore the write) and died mid-syscall.  Readers of
-    protocol files must treat the result as absent/damaged, never parse
-    half a record as state.
+    journals and blobs must treat the result as absent/damaged, never
+    parse half a record as state.
     """
     cut = max(1, int(len(payload) * fraction)) if payload else 0
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
@@ -174,80 +167,6 @@ def torn_write(path: str, payload: bytes, fraction: float = 0.5) -> None:
         os.write(fd, payload[:cut])
     finally:
         os.close(fd)
-
-
-class ChaosQueue(WorkQueue):
-    """A :class:`~repro.fuzz.dist.WorkQueue` with protocol-level chaos.
-
-    Each injection models one distributed failure the protocol claims
-    to survive, applied deterministically so tests can assert exact
-    outcomes:
-
-    * ``clock_skew`` — this instance's clock runs offset by that many
-      seconds (heartbeat renewal and lease-expiry checks both see the
-      skewed time, like a node with a drifting clock);
-    * :meth:`force_expire` — rewrite a job's live lease as already
-      expired, simulating the owner vanishing without the wait;
-    * ``torn_results`` — the next publishes of these job indexes tear
-      mid-write instead of landing atomically (the torn file must read
-      as absent and be repaired by the retry's publish);
-    * ``duplicate_delivery`` — the first N :meth:`settled` checks per
-      job pretend the job is still open, letting a second node claim
-      and re-run work that already has a result (the classic
-      at-least-once duplicate; the merge must dedup it).
-    """
-
-    def __init__(self, directory: str, node: str = "",
-                 clock: Callable[[], float] = time.time,
-                 clock_skew: float = 0.0,
-                 torn_results: Optional[Dict[int, int]] = None,
-                 duplicate_delivery: Optional[Dict[int, int]] = None) -> None:
-        super().__init__(directory, node=node, clock=clock)
-        self.clock_skew = clock_skew
-        self.torn_results = dict(torn_results or {})
-        self.duplicate_delivery = dict(duplicate_delivery or {})
-        base_clock = self.clock
-        self.clock = lambda: base_clock() + self.clock_skew
-
-    def force_expire(self, job_index: int) -> bool:
-        """Rewrite a job's lease as expired-now; False if no lease."""
-        lease = self.read_lease(job_index)
-        if lease is None:
-            return False
-        from dataclasses import replace
-        expired = replace(lease, expires_at=self.clock() - 1.0)
-        self._write_atomic(self.lease_path(job_index), expired.to_dict())
-        self.metrics.count("chaos.lease.forced_expiry")
-        return True
-
-    def settled(self, job_index: int) -> bool:
-        pending = self.duplicate_delivery.get(job_index, 0)
-        if pending > 0 and super().settled(job_index):
-            self.duplicate_delivery[job_index] = pending - 1
-            self.metrics.count("chaos.duplicate_delivery")
-            return False
-        return super().settled(job_index)
-
-    def publish_result(self, result, fingerprint: str,
-                       attempt: int = 1) -> bool:
-        pending = self.torn_results.get(result.job_index, 0)
-        if pending > 0:
-            self.torn_results[result.job_index] = pending - 1
-            import json
-            from .checkpoint import result_to_dict
-            payload = json.dumps({
-                "kind": "result",
-                "fingerprint": fingerprint,
-                "node": self.node,
-                "attempt": attempt,
-                "result": result_to_dict(result),
-            }, sort_keys=True).encode("utf-8")
-            path = self.result_path(result.job_index)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            torn_write(path, payload)
-            self.metrics.count("chaos.results.torn")
-            return False
-        return super().publish_result(result, fingerprint, attempt=attempt)
 
 
 class ChaosSocketQueue(SocketQueue):

@@ -1,13 +1,10 @@
-"""The socket transport: a TCP queue broker and its client.
+"""The distributed queue: a TCP queue broker and its client.
 
-For fleets whose hosts cannot share a directory, the queue state moves
-into a :class:`QueueBroker` — a small TCP server owning the
-lease/result protocol **in memory**, journal-backed for crash recovery
-— and nodes/coordinators talk to it through :class:`SocketQueue`, a
-drop-in :class:`~repro.fuzz.dist.Transport`.  Everything above the
-transport surface (claims, heartbeats, backoff, result dedup, corpus
-merging, the campaign fingerprint) is byte-identical to the shared-dir
-queue; only the bytes' route changes.
+A distributed campaign's queue state lives in a :class:`QueueBroker` —
+a small TCP server owning the lease/result protocol **in memory**,
+journal-backed for crash recovery — and the coordinator and nodes talk
+to it through :class:`SocketQueue`.  The broker runs standalone
+(``alive-mutate --serve-queue``) or in-process next to a coordinator.
 
 Protocol
 --------
@@ -39,14 +36,13 @@ leases immediately (no other connection from that node remaining), so
 lease recovery after a node kill -9 is bounded by TCP teardown, not by
 the lease clock — feeding the existing reclaim/quarantine machinery.
 
-Failure matrix delta vs the shared-dir queue: see DESIGN §13.
+The failure matrix is DESIGN §10.
 """
 
 from __future__ import annotations
 
 import os
 import socket
-import tempfile
 import threading
 import time
 from dataclasses import asdict, replace
@@ -58,13 +54,13 @@ from .dist import (Lease, QueueError, QueueMismatch, REASON_NODE_LOST,
                    REASON_QUARANTINE, ShardJob, ShardResult, _jsonified,
                    job_from_wire, job_to_wire)
 from .parallel import retry_delay
-from .wire import (FORMAT_BITCODE, BlobStore, DecodeCache, FrameError,
-                   FrameStream, TAG_BLOB_GET, TAG_BLOB_HAVE, TAG_BLOB_PUT,
-                   TAG_CLAIM, TAG_COLLECT_CORPUS, TAG_COLLECT_RESULTS,
+from .wire import (BlobStore, DecodeCache, FrameError, FrameStream,
+                   TAG_BLOB_GET, TAG_BLOB_HAVE, TAG_BLOB_PUT, TAG_CLAIM,
+                   TAG_COLLECT_CORPUS, TAG_COLLECT_RESULTS,
                    TAG_COLLECT_STONES, TAG_CORPUS, TAG_DRAINED, TAG_ERROR,
                    TAG_HEARTBEAT, TAG_HELLO, TAG_MANIFEST, TAG_OK,
-                   TAG_PUBLISH, TAG_RELEASE, TAG_RESULT, TAG_RETIRE,
-                   TAG_SWEEP, blob_digest, encode_payload)
+                   TAG_PUBLISH, TAG_RELEASE, TAG_RESULT, TAG_SWEEP,
+                   blob_digest, encode_payload)
 
 __all__ = ["QueueBroker", "SocketQueue", "parse_address"]
 
@@ -98,8 +94,9 @@ class QueueBroker:
     fast in-memory queue that loses state with the process (fine for
     tests and single-run campaigns where the coordinator republishes).
 
-    ``clock`` is injectable for chaos tests, exactly as on
-    :class:`~repro.fuzz.dist.WorkQueue`.
+    ``clock`` is injectable so tests simulate lease expiry and backoff
+    by advancing a fake clock instead of sleeping.  Every lease decision
+    reads this one clock, so node clocks never matter.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -141,6 +138,10 @@ class QueueBroker:
         reply ever leaves the broker."""
         if self.journal_dir is None:
             return
+        if self._stopping.is_set():
+            # A stopped broker accepts nothing more, exactly like a
+            # killed one: the request fails and its client retries.
+            raise OSError("broker stopped")
         import json
         if self._journal is None:
             self._journal = open(self.journal_path(), "a")
@@ -252,21 +253,27 @@ class QueueBroker:
         self._stopping.set()
         if self._server is not None:
             try:
-                self._server.close()
+                # Wakes the accept thread, which would otherwise keep
+                # the port bound until the next connection arrives.
+                self._server.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            self._server.close()
             self._server = None
         for conn in list(self._live_conns):
             try:
                 conn.close()
             except OSError:
                 pass
-        if self._journal is not None:
-            try:
-                self._journal.close()
-            except OSError:
-                pass
-            self._journal = None
+        with self._lock:
+            # Under the lock: a verb mid-dispatch finishes its append
+            # first, and none can append after this.
+            if self._journal is not None:
+                try:
+                    self._journal.close()
+                except OSError:
+                    pass
+                self._journal = None
 
     def _accept_loop(self) -> None:
         assert self._server is not None
@@ -357,8 +364,6 @@ class QueueBroker:
                 return self._handle_heartbeat(header, node)
             if tag == TAG_RELEASE:
                 return self._handle_release(header, node)
-            if tag == TAG_RETIRE:
-                return self._handle_retire(header)
             if tag == TAG_RESULT:
                 return self._handle_result(header, node)
             if tag == TAG_CORPUS:
@@ -426,8 +431,9 @@ class QueueBroker:
         shared_config = header.get("shared_config")
         if self._manifest is not None \
                 and self._manifest.get("shared_config") is not None:
-            # The original publish's config base stays authoritative
-            # for already-stored records (see WorkQueue.publish).
+            # The original publish's config base stays authoritative:
+            # a resume's re-publish may cover a different job subset,
+            # and the already-stored records diff against that base.
             shared_config = self._manifest.get("shared_config")
         records = header.get("jobs", [])
         published = 0
@@ -485,8 +491,9 @@ class QueueBroker:
 
     def _claim_one(self, index: int, node: str,
                    now: float) -> Optional[Tuple[dict, Lease]]:
-        """One job's claim decision — the in-memory twin of
-        :meth:`repro.fuzz.dist.WorkQueue.claim`."""
+        """One job's claim decision: a fresh lease, a reclaim of an
+        expired or released lease after its backoff, or — once
+        ``max_attempts`` is spent — retirement with a tombstone."""
         if self._settled(index):
             return None
         record = self._jobs.get(index)
@@ -549,15 +556,6 @@ class QueueBroker:
             error=str(header.get("error", "")))
         self.metrics.count("dist.lease.released")
         return TAG_OK, {}, []
-
-    def _handle_retire(self, header: dict) -> Tuple[int, dict,
-                                                    List[bytes]]:
-        try:
-            index = int(header["job_index"])
-            lease = Lease.from_dict(header["lease"])
-        except (KeyError, TypeError, ValueError):
-            return TAG_OK, {"retired": False}, []
-        return TAG_OK, {"retired": self._retire(index, lease)}, []
 
     def _retire(self, index: int, lease: Lease) -> bool:
         if index in self._tombstones:
@@ -660,7 +658,7 @@ class QueueBroker:
 
 
 class SocketQueue:
-    """A broker-backed :class:`~repro.fuzz.dist.Transport`.
+    """The client side of a :class:`QueueBroker`.
 
     One connection, shared by the caller's threads under a lock
     (:class:`~repro.fuzz.dist.NodeRunner`'s heartbeat thread and main
@@ -676,15 +674,11 @@ class SocketQueue:
     """
 
     def __init__(self, address: str, node: str = "",
-                 clock: Callable[[], float] = time.time,
-                 payload_format: str = FORMAT_BITCODE,
                  connect_timeout: float = 60.0,
                  retry_interval: float = 0.2,
                  socket_timeout: float = 60.0) -> None:
         self.host, self.port = parse_address(address)
         self.node = node or f"node-{os.getpid()}"
-        self.clock = clock
-        self.payload_format = payload_format
         self.connect_timeout = connect_timeout
         self.retry_interval = retry_interval
         self.socket_timeout = socket_timeout
@@ -694,7 +688,6 @@ class SocketQueue:
         self._lock = threading.RLock()
         self._stream: Optional[FrameStream] = None
         self._manifest_cache: Optional[dict] = None
-        self._work_dir: Optional[str] = None
 
     @property
     def address(self) -> str:
@@ -751,7 +744,7 @@ class SocketQueue:
                     raise QueueError(message)
                 return reply_tag, reply_header, reply_blobs
 
-    # -- Transport: manifest and publish ------------------------------------
+    # -- manifest and publish -----------------------------------------------
 
     def manifest(self) -> Optional[dict]:
         if self._manifest_cache is not None:
@@ -786,8 +779,8 @@ class SocketQueue:
         payloads: Dict[int, Tuple[bytes, str]] = {}
         blobs_by_digest: Dict[str, bytes] = {}
         for job in jobs:
-            data, actual_format = encode_payload(
-                job.text, self.payload_format, metrics=self.metrics)
+            data, actual_format = encode_payload(job.text,
+                                                 metrics=self.metrics)
             sha = blob_digest(data)
             blobs_by_digest[sha] = data
             records.append(job_to_wire(job, shared_config, sha,
@@ -816,7 +809,7 @@ class SocketQueue:
         })
         self._manifest_cache = None
 
-    # -- Transport: claims and results --------------------------------------
+    # -- claims and results -------------------------------------------------
 
     def claim_next(self, limit: int = 1) -> List[Tuple[ShardJob, Lease]]:
         _tag, header, _blobs = self._request(TAG_CLAIM, {"limit": limit})
@@ -884,11 +877,6 @@ class SocketQueue:
             "job_index": job_index, "lease": lease.to_dict(),
             "failure_kind": failure_kind, "error": error})
 
-    def retire(self, job_index: int, lease: Lease) -> bool:
-        _tag, header, _blobs = self._request(TAG_RETIRE, {
-            "job_index": job_index, "lease": lease.to_dict()})
-        return bool(header.get("retired", False))
-
     def publish_result(self, result: ShardResult, fingerprint: str,
                        attempt: int = 1) -> bool:
         _tag, header, _blobs = self._request(TAG_RESULT, {
@@ -906,13 +894,10 @@ class SocketQueue:
             TAG_CORPUS, {"job_index": job_index}, [data])
         return bool(header.get("ok", False))
 
-    def corpus_paths(self) -> List[Tuple[int, str]]:
-        """Materialize the broker's corpus deltas into local files."""
+    def corpus_deltas(self) -> List[Tuple[int, bytes]]:
+        """Every published corpus delta as (job index, journal bytes)."""
         _tag, header, _blobs = self._request(TAG_COLLECT_CORPUS, {})
-        if self._work_dir is None:
-            self._work_dir = tempfile.mkdtemp(
-                prefix=f"repro-net-{self.node}-")
-        deltas: List[Tuple[int, str]] = []
+        deltas: List[Tuple[int, bytes]] = []
         for item in header.get("deltas", []):
             try:
                 index, sha = int(item[0]), str(item[1])
@@ -923,14 +908,10 @@ class SocketQueue:
                 data = self._fetch_blob(sha)
                 if data is None:
                     continue
-            path = os.path.join(self._work_dir,
-                                f"job-{index:06d}.corpus.jsonl")
-            with open(path, "wb") as stream:
-                stream.write(data)
-            deltas.append((index, path))
+            deltas.append((index, data))
         return sorted(deltas)
 
-    # -- Transport: collection and sweeping ---------------------------------
+    # -- collection and sweeping --------------------------------------------
 
     def collect_results(self, fingerprint: str) -> Dict[int, ShardResult]:
         _tag, header, _blobs = self._request(

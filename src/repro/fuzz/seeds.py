@@ -7,11 +7,6 @@ patterns, flagged arithmetic, shift/mask idioms, memory ping-pong across
 opaque calls, saturating/min-max intrinsics, assume bundles, loops, and
 multi-function files with inlinable helpers.  Several archetypes are
 modeled directly on the paper's listings (noted inline).
-
-This module used to be ``repro.fuzz.corpus``; it was renamed when the
-*runtime* corpus (coverage-selected mutants, see
-:mod:`repro.fuzz.corpus`) took that name.  The old module re-exports
-these names with a :class:`DeprecationWarning` for one release.
 """
 
 from __future__ import annotations

@@ -131,7 +131,7 @@ class Session:
         return executor.execute(resume=resume)
 
     @staticmethod
-    def run_node(queue_dir: str, node: str = "", workers: int = 1,
+    def run_node(queue_addr: str, node: str = "", workers: int = 1,
                  time_budget: Optional[float] = None,
                  max_jobs: Optional[int] = None,
                  wait_for_manifest: Optional[float] = 30.0,
@@ -139,17 +139,21 @@ class Session:
         """Join a distributed campaign as a worker node.
 
         The node needs no sources or config of its own — the job matrix
-        (seed text included) comes from the queue directory the
-        coordinator published.  Blocks until the queue drains (or the
-        budget/count limit hits) and returns the
+        (seed text included) comes from the broker at ``queue_addr``
+        (``HOST:PORT``) the coordinator published to.  Blocks until the
+        queue drains (or the budget/count limit hits) and returns the
         :class:`~repro.fuzz.dist.NodeReport`.  The coordinator side is
         ``run_campaign`` with ``campaign.dist`` set.
         """
-        from .dist import NodeRunner, WorkQueue
-        runner = NodeRunner(WorkQueue(queue_dir, node=node),
-                            workers=workers, work_dir=work_dir)
-        return runner.run(time_budget=time_budget, max_jobs=max_jobs,
-                          wait_for_manifest=wait_for_manifest)
+        from .dist import NodeRunner
+        from .net import SocketQueue
+        queue = SocketQueue(queue_addr, node=node)
+        try:
+            runner = NodeRunner(queue, workers=workers, work_dir=work_dir)
+            return runner.run(time_budget=time_budget, max_jobs=max_jobs,
+                              wait_for_manifest=wait_for_manifest)
+        finally:
+            queue.close()
 
     def replay(self, seed: int, index: int = 0) -> Module:
         """Re-create the mutant a finding's seed denotes (paper §III-E)."""

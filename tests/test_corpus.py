@@ -1,13 +1,12 @@
 """Tests for the runtime coverage corpus (``repro.fuzz.corpus``).
 
-Admission and distillation invariants, journal durability (same model as
-the campaign checkpoint: a crash damages at most the trailing line), and
-the one-release deprecation shim for the seed generators that used to
-live in this module.
+Admission and distillation invariants, and journal durability (same
+model as the campaign checkpoint: a crash damages at most the trailing
+line) — including the bitcode records older journals may hold.
 """
 
+import base64
 import json
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -229,27 +228,11 @@ class TestJournal:
         assert back == original
 
 
-class TestSeedsMoveShim:
-    def test_legacy_import_warns_and_resolves(self):
-        import repro.fuzz.corpus as corpus_module
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            generate_corpus = corpus_module.generate_corpus
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        from repro.fuzz.seeds import generate_corpus as canonical
-        assert generate_corpus is canonical
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.fuzz.corpus as corpus_module
-        with pytest.raises(AttributeError):
-            corpus_module.no_such_name
-
-
 # ---------------------------------------------------------------------------
 # Bitcode journal records.
 # ---------------------------------------------------------------------------
 
+from repro.ir.bitcode import write_bitcode
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 
@@ -265,52 +248,65 @@ def ir_entry(index, features):
                        features=frozenset(features), seed=index)
 
 
+def bitcode_record(entry):
+    """A journal record storing ``entry``'s module as base64 bitcode, the
+    form journals written with the retired bitcode writer hold."""
+    record = entry.to_dict()
+    del record["text"]
+    record["format"] = "bitcode"
+    record["data"] = base64.b64encode(
+        write_bitcode(parse_module(entry.text))).decode("ascii")
+    return record
+
+
+def write_records(path, records):
+    with open(path, "w") as stream:
+        for record in records:
+            stream.write(json.dumps(record) + "\n")
+
+
 class TestBitcodeJournal:
     def path(self, tmp_path):
         return str(tmp_path / "run.corpus.jsonl")
 
     def test_bitcode_records_round_trip(self, tmp_path):
         path = self.path(tmp_path)
-        with CorpusJournal(path, payload_format="bitcode") as journal:
-            corpus = Corpus(max_size=8, journal=journal)
-            for index, features in enumerate([{"a"}, {"b"}]):
-                corpus.consider(ir_entry(index, features))
-        with open(path) as stream:
-            records = [json.loads(line) for line in stream]
-        assert records[0]["format"] == "bitcode"  # header advertises it
-        body = [r for r in records if r.get("kind") == "entry"]
-        assert all(r.get("format") == "bitcode" and "text" not in r
-                   for r in body)
+        entries = [ir_entry(0, {"a"}), ir_entry(1, {"b"})]
+        write_records(path, [{"kind": "header", "version": 1,
+                              "format": "bitcode"}]
+                      + [bitcode_record(e) for e in entries])
         loaded = Corpus.load(path)
         assert [e.text for e in loaded.entries()] == \
-            [e.text for e in corpus.entries()]
+            [e.text for e in entries]
         assert [e.fingerprint for e in loaded.entries()] == \
-            [e.fingerprint for e in corpus.entries()]
+            [e.fingerprint for e in entries]
 
     def test_unencodable_text_falls_back_to_text_record(self, tmp_path):
+        # The writer stores every entry as text, IR or not.
         path = self.path(tmp_path)
-        with CorpusJournal(path, payload_format="bitcode") as journal:
+        with CorpusJournal(path) as journal:
             corpus = Corpus(max_size=8, journal=journal)
             corpus.consider(entry(0, {"a"}))  # "module 0" is not IR
+        with open(path) as stream:
+            records = [json.loads(line) for line in stream]
+        assert records[-1]["text"] == "module 0"
         loaded = Corpus.load(path)
         assert loaded.entries()[0].text == "module 0"
 
     def test_mixed_format_journal_loads(self, tmp_path):
         path = self.path(tmp_path)
         first, second = ir_entry(0, {"a"}), ir_entry(1, {"b"})
-        with open(path, "w") as stream:
-            stream.write(json.dumps(first.to_dict("text")) + "\n")
-            stream.write(json.dumps(second.to_dict("bitcode")) + "\n")
+        write_records(path, [first.to_dict(), bitcode_record(second)])
         loaded = Corpus.load(path)
         assert [e.text for e in loaded.entries()] == \
             [first.text, second.text]
 
     def test_torn_bitcode_tail_is_dropped(self, tmp_path):
         path = self.path(tmp_path)
-        with CorpusJournal(path, payload_format="bitcode") as journal:
+        with CorpusJournal(path) as journal:
             corpus = Corpus(max_size=8, journal=journal)
             corpus.consider(ir_entry(0, {"a"}))
-        record = ir_entry(1, {"b"}).to_dict("bitcode")
+        record = bitcode_record(ir_entry(1, {"b"}))
         record["data"] = record["data"][:8]  # truncated base64 payload
         with open(path, "a") as stream:
             stream.write(json.dumps(record) + "\n")
@@ -319,15 +315,16 @@ class TestBitcodeJournal:
 
     def test_torn_bitcode_mid_journal_is_loud(self, tmp_path):
         path = self.path(tmp_path)
-        record = ir_entry(0, {"a"}).to_dict("bitcode")
+        record = bitcode_record(ir_entry(0, {"a"}))
         record["data"] = record["data"][:8]
-        with open(path, "w") as stream:
-            stream.write(json.dumps(record) + "\n")
-            stream.write(json.dumps(
-                ir_entry(1, {"b"}).to_dict("bitcode")) + "\n")
+        write_records(path, [record, bitcode_record(ir_entry(1, {"b"}))])
         with pytest.raises(ValueError):
             Corpus.load(path)
 
     def test_journal_rejects_unknown_format(self, tmp_path):
+        path = self.path(tmp_path)
+        record = bitcode_record(ir_entry(0, {"a"}))
+        record["format"] = "morse"
+        write_records(path, [record, ir_entry(1, {"b"}).to_dict()])
         with pytest.raises(ValueError):
-            CorpusJournal(self.path(tmp_path), payload_format="morse")
+            Corpus.load(path)

@@ -8,8 +8,8 @@ retries without failing the campaign, and transient faults heal on
 retry with results identical to a fault-free run.
 
 Also home to the on-disk crash-consistency matrix: every fsync'd
-journal (checkpoint, corpus, findings) and every single-record queue
-file survives a torn write or a truncated multi-byte UTF-8 tail — the
+journal (checkpoint, corpus, findings, broker) and every broker blob
+survives a torn write or a truncated multi-byte UTF-8 tail — the
 reader drops exactly the damaged record, never raises, and never
 parses half a record as state.
 """
@@ -307,26 +307,23 @@ class TestJournalCrashConsistency:
         loaded = Corpus.load(path, max_size=8)
         assert [e.fingerprint for e in loaded.entries()] == ["fa"]
 
-    def test_damage_journal_on_single_record_queue_file(self, tmp_path):
-        from repro.fuzz import damage_journal
-        from repro.fuzz.dist import WorkQueue
-        queue = WorkQueue(str(tmp_path), node="n1")
-        queue._write_atomic(queue.lease_path(0),
-                            {"kind": "lease", "node": "n1", "attempt": 1,
-                             "claimed_at": 0.0, "expires_at": 9.0})
-        with pytest.raises(ValueError):
-            damage_journal(queue.lease_path(0))  # journal contract kept
-        damage_journal(queue.lease_path(0), allow_single=True)
-        assert queue.read_lease(0) is None  # damaged == absent
-
     def test_torn_queue_files_read_as_absent(self, tmp_path):
-        from repro.fuzz import torn_write
-        from repro.fuzz.dist import WorkQueue
-        queue = WorkQueue(str(tmp_path), node="n1")
-        payload = json.dumps({"kind": "manifest", "fingerprint": "f" * 64,
-                              "detail": MULTIBYTE}).encode("utf-8")
-        torn_write(queue.manifest_path(), payload, fraction=0.6)
-        assert queue.manifest() is None
-        os.makedirs(os.path.dirname(queue.tombstone_path(0)), exist_ok=True)
-        torn_write(queue.tombstone_path(0), payload, fraction=0.3)
-        assert not queue.has_tombstone(0)
+        from repro.fuzz import QueueBroker, torn_write
+        from repro.fuzz.net import BROKER_JOURNAL_NAME
+        from repro.fuzz.wire import blob_digest
+        journal_dir = str(tmp_path / "broker")
+        os.makedirs(journal_dir)
+        # The broker's only record, its manifest, torn mid-write.
+        record = json.dumps({"kind": "manifest", "manifest": {
+            "fingerprint": "f" * 64, "detail": MULTIBYTE}}).encode("utf-8")
+        torn_write(os.path.join(journal_dir, BROKER_JOURNAL_NAME), record,
+                   fraction=0.6)
+        broker = QueueBroker(journal_dir=journal_dir)
+        assert broker._manifest is None
+        assert broker.metrics.counter("net.journal.torn_tail") == 1
+        # A torn blob fails its digest check and reads as absent.
+        data = MULTIBYTE.encode("utf-8")
+        os.makedirs(os.path.join(journal_dir, "blobs"))
+        torn_write(os.path.join(journal_dir, "blobs", blob_digest(data)),
+                   data, fraction=0.3)
+        assert broker.blobs.get(blob_digest(data)) is None

@@ -1,12 +1,11 @@
-"""The socket transport: broker protocol, crash recovery, campaign parity.
+"""The queue broker and its client: wire protocol, crash recovery, parity.
 
 Protocol tests drive :class:`QueueBroker` + :class:`SocketQueue` over a
 real loopback socket under a fake broker clock (lease expiry and backoff
 are simulated by advancing the clock, not by sleeping).  Campaign tests
-prove the tentpole invariant — findings and ``deterministic()`` metrics
-over the socket transport (either payload format, with or without
-injected chaos, across a broker kill/restart) are identical to a
-single-host run.
+prove the invariant — findings and ``deterministic()`` metrics over the
+broker (with or without injected wire chaos, across a broker
+kill/restart) are identical to a single-host run.
 """
 
 from __future__ import annotations
@@ -19,39 +18,17 @@ import pytest
 
 from repro.fuzz import CampaignConfig, run_campaign
 from repro.fuzz.checkpoint import jobs_fingerprint
-from repro.fuzz.dist import DistConfig, NodeRunner, QueueMismatch
+from repro.fuzz.dist import QueueMismatch
 from repro.fuzz.driver import FuzzConfig
 from repro.fuzz.faults import ChaosSocketQueue, damage_journal
-from repro.fuzz.net import QueueBroker, SocketQueue, parse_address
+from repro.fuzz.net import QueueBroker, parse_address
 from repro.fuzz.parallel import ShardJob
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 
-from .test_dist import (FakeClock, IR, SMALL, make_jobs, make_result,
-                        report_key)
-
-
-@pytest.fixture()
-def broker():
-    broker = QueueBroker()
-    broker.start()
-    yield broker
-    broker.stop()
-
-
-def client(broker, node="n1", **kwargs):
-    kwargs.setdefault("connect_timeout", 10.0)
-    kwargs.setdefault("retry_interval", 0.05)
-    return SocketQueue(broker.address, node=node, **kwargs)
-
-
-def published(broker, node="n1", jobs=None, **manifest):
-    jobs = make_jobs() if jobs is None else jobs
-    fingerprint = jobs_fingerprint(jobs)
-    coordinator = client(broker, node="coordinator")
-    coordinator.publish(jobs, fingerprint, **manifest)
-    coordinator.close()
-    return client(broker, node=node), fingerprint
+from .test_dist import (FakeClock, IR, SMALL, client, dist_config,
+                        make_result, published, report_key, restart_broker,
+                        run_distributed, wait_for)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +164,7 @@ class TestSocketProtocol:
         delta = tmp_path / "job-0.corpus.jsonl"
         delta.write_text('{"kind": "header", "version": 1}\n')
         assert queue.publish_corpus(0, str(delta)) is True
-        paths = queue.corpus_paths()
-        assert [index for index, _ in paths] == [0]
-        assert open(paths[0][1]).read() == delta.read_text()
+        assert queue.corpus_deltas() == [(0, delta.read_bytes())]
         queue.close()
 
     def test_blob_cache_hits_on_repeat_claims(self, broker):
@@ -213,15 +188,6 @@ class TestSocketProtocol:
 # ---------------------------------------------------------------------------
 # Reconnects and lease expiry on disconnect.
 # ---------------------------------------------------------------------------
-
-
-def wait_for(predicate, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.02)
-    return False
 
 
 class TestDisconnects:
@@ -349,47 +315,11 @@ def reference():
     return run_campaign(CampaignConfig(workers=1, **SMALL))
 
 
-def socket_config(address, **extra):
-    return CampaignConfig(
-        workers=1,
-        dist=DistConfig(queue_addr=address, wait_timeout=120.0,
-                        **extra.pop("dist", {})),
-        **extra, **SMALL)
-
-
-def run_socket_campaign(config, node_queues):
-    box = {}
-
-    def coordinate():
-        box["report"] = run_campaign(config)
-
-    coordinator = threading.Thread(target=coordinate)
-    coordinator.start()
-    reports = []
-    try:
-        for queue in node_queues:
-            runner = NodeRunner(queue, workers=1)
-            try:
-                reports.append(runner.run(time_budget=120,
-                                          wait_for_manifest=60))
-            finally:
-                queue.close()
-    finally:
-        coordinator.join(timeout=180)
-    assert not coordinator.is_alive(), "coordinator did not finish"
-    return box["report"], reports
-
-
 class TestSocketCampaignParity:
-    def test_bitcode_payloads_match_single_host(self, reference):
-        broker = QueueBroker()
-        broker.start()
-        try:
-            config = socket_config(broker.address)
-            report, (node_report,) = run_socket_campaign(
-                config, [client(broker)])
-        finally:
-            broker.stop()
+    def test_bitcode_payloads_match_single_host(self, broker, reference):
+        config = dist_config(broker.address)
+        report, (node_report,) = run_distributed(
+            config, queues=[client(broker)])
         assert node_report.jobs_run > 0
         assert report_key(report) == report_key(reference)
         assert report.metrics.deterministic() == \
@@ -397,85 +327,41 @@ class TestSocketCampaignParity:
         # The payloads really did travel as bitcode.
         assert report.metrics.counter("bitcode.encode.count") > 0
 
-    def test_text_payloads_match_single_host(self, reference):
-        broker = QueueBroker()
-        broker.start()
-        try:
-            config = socket_config(broker.address,
-                                   dist=dict(payload_format="text"))
-            report, _nodes = run_socket_campaign(
-                config, [client(broker)])
-        finally:
-            broker.stop()
-        assert report_key(report) == report_key(reference)
-        assert report.metrics.deterministic() == \
-            reference.metrics.deterministic()
-        assert report.metrics.counter("bitcode.encode.count") == 0
-
-    def test_wire_chaos_preserves_findings(self, reference):
-        broker = QueueBroker()
-        broker.start()
-        try:
-            config = socket_config(broker.address)
-            chaos = ChaosSocketQueue(
-                broker.address, node="n1", drop_every=5, torn_every=7,
-                duplicate_results=2, connect_timeout=30.0,
-                retry_interval=0.05)
-            report, (node_report,) = run_socket_campaign(config, [chaos])
-            assert chaos.metrics.counter(
-                "chaos.net.dropped_connections") > 0
-            assert chaos.metrics.counter("chaos.net.torn_frames") > 0
-            assert chaos.metrics.counter("chaos.net.duplicate_results") > 0
-        finally:
-            broker.stop()
+    def test_wire_chaos_preserves_findings(self, broker, reference):
+        config = dist_config(broker.address)
+        chaos = ChaosSocketQueue(
+            broker.address, node="n1", drop_every=5, torn_every=7,
+            duplicate_results=2, connect_timeout=30.0, retry_interval=0.05)
+        report, _nodes = run_distributed(config, queues=[chaos])
+        assert chaos.metrics.counter("chaos.net.dropped_connections") > 0
+        assert chaos.metrics.counter("chaos.net.torn_frames") > 0
+        assert chaos.metrics.counter("chaos.net.duplicate_results") > 0
         assert report_key(report) == report_key(reference)
         assert report.metrics.deterministic() == \
             reference.metrics.deterministic()
 
     def test_broker_kill_and_recovery_mid_campaign(self, reference,
                                                    tmp_path):
-        journal_dir = str(tmp_path / "broker")
-        broker = QueueBroker(journal_dir=journal_dir)
-        host, port = broker.start()
-        address = f"{host}:{port}"
-        config = socket_config(address)
-
-        killed = threading.Event()
+        broker = QueueBroker(journal_dir=str(tmp_path / "broker"))
+        broker.start()
+        config = dist_config(broker.address)
         revived_box = {}
 
         def assassin():
             # Wait for real progress, then kill the broker cold and
             # restart it from its journal on the same port.
             if wait_for(lambda: len(broker._results) >= 1, timeout=60):
-                broker.stop()
-                # The port needs a beat to shake off dying connection
-                # sockets — retry the bind like a supervisor would.
-                deadline = time.monotonic() + 30
-                while True:
-                    revived = QueueBroker(host=host, port=port,
-                                          journal_dir=journal_dir)
-                    try:
-                        revived.start()
-                        break
-                    except OSError:
-                        if time.monotonic() > deadline:
-                            raise
-                        time.sleep(0.1)
-                revived_box["broker"] = revived
-                killed.set()
+                revived_box["broker"] = restart_broker(broker)
 
         hitman = threading.Thread(target=assassin)
         hitman.start()
         try:
-            report, _nodes = run_socket_campaign(
-                config, [client(broker, connect_timeout=60.0)])
+            report, _nodes = run_distributed(
+                config, queues=[client(broker, connect_timeout=60.0)])
         finally:
             hitman.join(timeout=90)
-            if "broker" in revived_box:
-                revived_box["broker"].stop()
-            else:
-                broker.stop()
-        assert killed.is_set(), "broker was never killed (no results?)"
+            revived_box.get("broker", broker).stop()
+        assert "broker" in revived_box, "broker was never killed (no results?)"
         assert report_key(report) == report_key(reference)
         assert report.metrics.deterministic() == \
             reference.metrics.deterministic()
